@@ -16,6 +16,7 @@ output does not depend on the worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -170,8 +171,22 @@ def _find_non_minimal(gap_lists: list[tuple[int, ...]],
     return sorted(g for part in parts for g in part)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
+
+
 def scan_minimality(query: EnumerationQuery, workers: int = 1) -> ScanResult:
-    """Count semigroups per bucket and list the non-lambda-minimal ones."""
+    """Count semigroups per bucket and list the non-lambda-minimal ones.
+
+    ``workers`` must be at least 1; more than the CPUs this process may run
+    on are not started.
+    """
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    workers = min(workers, _usable_cpus())
     _check_bound(query.mode, query.bound)
     if query.only is not None and not 1 <= query.only <= query.bound:
         raise ValueError(f"--only bucket {query.only} outside 1..{query.bound}")

@@ -3,14 +3,14 @@
 For a semigroup S, enumerate every numerical set T with atom monoid exactly
 S, record the size of the partition each one enumerates, and decide whether
 S is lambda-minimal, i.e. whether its own partition is the smallest of them.
-Sizes are computed straight from the gap counts without materializing the
-partitions; the reports come in dual pairs of equal size because T and its
-dual enumerate conjugate partitions.
+Sizes are computed from bit counts of each set's mask, without building the
+numerical sets or their partitions; the reports come in dual pairs of equal
+size because T and its dual enumerate conjugate partitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import NumericalSemigroup, NumericalSet
@@ -23,10 +23,15 @@ class AssociatedSetReport:
     """One numerical set T = S u I with atom monoid S."""
 
     ideal: tuple[int, ...]
-    numerical_set: NumericalSet
     partition_size: int
     self_dual: bool
     dual_index: int
+    semigroup: NumericalSemigroup = field(repr=False)
+
+    @cached_property
+    def numerical_set(self) -> NumericalSet:
+        """T = S u I, built on first use."""
+        return self.semigroup.union(self.ideal)
 
     def partition(self) -> Partition:
         return enumeration(self.numerical_set)
@@ -86,28 +91,46 @@ def solve(s: NumericalSemigroup, verify: bool = False) -> AntiAtomSolution:
     if s.frobenius < 0:
         raise ValueError("anti-atom problem undefined for N")
     poset = VoidPoset(s)
-    found = []  # (ideal tuple, mask, T)
-    for mask in poset._ideal_masks():
-        members = poset._set_of(mask) if verify else None
-        if verify:
-            ok = poset.is_associated(members, verify=True)
-        else:
-            ok = poset._is_associated_mask(mask)
-        if ok:
-            members = poset._set_of(mask) if members is None else members
-            found.append((tuple(sorted(members)), mask, s.union(members)))
-    found.sort(key=lambda item: item[0])
-    position = {mask: i for i, (_, mask, _) in enumerate(found)}
+    elements = poset.elements
+    found = sorted((tuple(e for i, e in enumerate(elements) if mask >> i & 1), mask)
+                   for mask in poset.associated_masks())
+    if verify:
+        expected = {ideal for ideal in poset.order_ideals()
+                    if poset.is_associated(ideal, verify=True)}
+        if expected != {frozenset(ideal) for ideal, _ in found}:
+            raise RuntimeError(f"associated_masks disagrees with the "
+                               f"characterization for {s}")
+    size = _mask_size(s, elements)
+    position = {mask: i for i, (_, mask) in enumerate(found)}
     reports = tuple(
         AssociatedSetReport(
             ideal=ideal,
-            numerical_set=t,
-            partition_size=size_via_gap_count(t),
+            partition_size=size(mask),
             self_dual=mask == poset._reflect_mask(mask),
             dual_index=position[poset._dual_mask(mask)],
+            semigroup=s,
         )
-        for ideal, mask, t in found)
+        for ideal, mask in found)
     return AntiAtomSolution(s, size_via_gap_count(s), reports)
+
+
+def _mask_size(s: NumericalSemigroup, elements: tuple[int, ...]):
+    """|lambda(S u I)| as a function of the mask of I over ``elements``.
+
+    The partition of a numerical set with k gaps has size (sum of the gaps)
+    - k(k-1)/2, and S u I has the gaps of S less I.  The sum over I comes
+    from bit counts of the mask against the bit planes of the elements.
+    """
+    planes = [(b, sum(1 << i for i, e in enumerate(elements) if e >> b & 1))
+              for b in range(max(elements, default=0).bit_length())]
+    gap_sum, genus = sum(s.gaps), s.genus
+
+    def size(mask: int) -> int:
+        k = genus - mask.bit_count()
+        removed = sum((mask & plane).bit_count() << b for b, plane in planes)
+        return gap_sum - removed - k * (k - 1) // 2
+
+    return size
 
 
 def is_lambda_minimal(s: NumericalSemigroup) -> bool:

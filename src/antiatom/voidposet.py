@@ -58,25 +58,25 @@ class VoidPoset:
                 if (self.elements[j] - x) in s:
                     m |= 1 << j
             self._succ.append(m)
-        self._frobenius_pairs = self._satisfaction_pairs()
+        self._full = (1 << n) - 1
+        self._special = self._special_gap_tests()
 
-    def _satisfaction_pairs(self) -> dict[int, list[tuple[int, int]]]:
-        """For each special gap index, the (x index, F-y index) pairs of its
-        Frobenius triangles, both orderings of (x, y)."""
+    def _special_gap_tests(self) -> list[tuple[int, int, list[tuple[int, int]]]]:
+        """For each special gap P: its bit, the bit of F - P, and the (x bit,
+        F - y bit) pairs of its Frobenius triangles, both orderings of (x, y)."""
         F = self.frobenius
         special = set(self.semigroup.special_gaps)
         n = len(self.elements)
-        out: dict[int, list[tuple[int, int]]] = {}
+        out = []
         for ip, p in enumerate(self.elements):
             if p not in special:
                 continue
             pairs = []
             for ix, x in enumerate(self.elements):
-                y = F - p - x
-                iy = self._index.get(y)
+                iy = self._index.get(F - p - x)
                 if iy is not None:
-                    pairs.append((ix, n - 1 - iy))  # n-1-iy indexes F - y
-            out[ip] = pairs
+                    pairs.append((1 << ix, 1 << (n - 1 - iy)))  # n-1-iy indexes F - y
+            out.append((1 << ip, 1 << (n - 1 - ip), pairs))
         return out
 
     def __len__(self) -> int:
@@ -110,22 +110,14 @@ class VoidPoset:
                 return False
         return True
 
-    def _dual_mask(self, mask: int) -> int:
-        n = len(self.elements)
-        out = 0
-        for i in range(n):
-            if not (mask >> (n - 1 - i)) & 1:
-                out |= 1 << i
-        return out
-
     def _reflect_mask(self, mask: int) -> int:
-        """Image of a subset under x -> F - x (index reversal)."""
+        """Image of a subset under x -> F - x: the n index bits reversed."""
         n = len(self.elements)
-        out = 0
-        for i in range(n):
-            if (mask >> (n - 1 - i)) & 1:
-                out |= 1 << i
-        return out
+        return int(format(mask, "b").zfill(n)[::-1], 2) if n else 0
+
+    def _dual_mask(self, mask: int) -> int:
+        """I* = {x : F - x not in I}: the complement of the reflection."""
+        return self._full & ~self._reflect_mask(mask)
 
     def _ideal_masks(self) -> Iterator[int]:
         """All up-closed subsets, exclude-first per element from the top down.
@@ -144,26 +136,36 @@ class VoidPoset:
                 i -= 1
             yield mask
 
-    def _is_associated_mask(self, mask: int) -> bool:
-        if not self._is_up_closed_mask(mask):
-            return False
-        n = len(self.elements)
-        for ip, pairs in self._frobenius_pairs.items():
-            if not (mask >> ip) & 1:
-                continue
-            if (mask >> (n - 1 - ip)) & 1:  # F - P in I
-                continue
-            for ix, ify in pairs:
-                if (mask >> ix) & 1 and not (mask >> ify) & 1:
-                    break
-            else:
-                return False
+    def _meets_special_gaps(self, mask: int) -> bool:
+        """The special-gap part of the characterization, for an up-closed mask:
+        every special gap P in I has F - P in I or a Frobenius triangle."""
+        for pbit, rbit, pairs in self._special:
+            if mask & pbit and not mask & rbit:
+                for xbit, ybit in pairs:
+                    if mask & xbit and not mask & ybit:
+                        break
+                else:
+                    return False
         return True
+
+    def _is_associated_mask(self, mask: int) -> bool:
+        return self._is_up_closed_mask(mask) and self._meets_special_gaps(mask)
 
     # -- public api ---------------------------------------------------------
 
     def is_up_closed(self, ideal: Iterable[int]) -> bool:
         return self._is_up_closed_mask(self._mask_of(ideal))
+
+    def associated_masks(self) -> Iterator[int]:
+        """The masks of every up-closed I with atom monoid of S u I equal to S.
+
+        Bit i stands for ``elements[i]``.  The masks come in the order of the
+        up-closed DFS; each is tested once, without re-checking up-closure.
+        """
+        meets = self._meets_special_gaps
+        for mask in self._ideal_masks():
+            if meets(mask):
+                yield mask
 
     def order_ideals(self) -> Iterator[OrderIdeal]:
         """Every up-closed subset exactly once, empty set first, full void last."""

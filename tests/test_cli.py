@@ -133,6 +133,13 @@ def test_scan_threads_flag():
     assert seq.stdout == par.stdout
 
 
+def test_scan_threads_below_one_exits_2():
+    for threads in ("0", "-2"):
+        result = run_cli("scan", "--frobenius", "9", "--threads", threads)
+        assert result.returncode == 2
+        assert "at least 1" in result.stderr
+
+
 def test_scan_bound_exceeded():
     assert run_cli("scan", "--genus", "31").returncode == 3
     assert run_cli("scan", "--frobenius", "41").returncode == 3

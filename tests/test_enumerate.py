@@ -1,5 +1,6 @@
 import pytest
 
+import antiatom.enumerate as enumerate_module
 import helpers
 from antiatom import (BoundExceeded, EnumerationQuery, NumericalSemigroup,
                       genus_counts, scan_minimality, semigroups_by_frobenius,
@@ -14,7 +15,7 @@ def test_genus_zero_is_n():
 
 
 def test_small_genus_levels():
-    assert genus_counts(8) == [1, 1, 2, 4, 7, 12, 23, 39, 67]
+    assert genus_counts(12) == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
 
 
 def test_genus_matches_subset_brute_force():
@@ -112,6 +113,36 @@ def test_scan_workers_agree():
     seq = scan_minimality(EnumerationQuery("frobenius", 10))
     par = scan_minimality(EnumerationQuery("frobenius", 10), workers=2)
     assert seq == par
+
+
+def test_scan_rejects_worker_counts_below_one():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            scan_minimality(EnumerationQuery("frobenius", 9), workers=workers)
+
+
+def test_scan_caps_workers_at_usable_cpus(monkeypatch):
+    started = []
+
+    class InProcessPool:  # records the worker count and starts no process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            return [fn(batch) for batch in batches]
+
+    monkeypatch.setattr(enumerate_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(enumerate_module.multiprocessing, "Pool", InProcessPool)
+    query = EnumerationQuery("frobenius", 12, only=12)
+    assert scan_minimality(query, workers=10**6) == scan_minimality(query)
+    assert started == [2]
 
 
 def test_scan_json_shape():

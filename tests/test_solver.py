@@ -88,6 +88,16 @@ def test_solve_matches_brute_force_sets():
             assert r.partition_size == helpers.partition_size(frozenset(r.numerical_set.gaps))
 
 
+def test_pa_sums_to_numerical_sets_per_frobenius(frobenius_solutions):
+    """Each numerical set with Frobenius number f has one atom monoid, whose
+    Frobenius number is also f, so Pa summed over F(S) = f counts all
+    2^(f-1) numerical sets with Frobenius number f."""
+    totals = {}
+    for s, solution in frobenius_solutions.items:
+        totals[s.frobenius] = totals.get(s.frobenius, 0) + solution.pa
+    assert totals == {f: 2 ** (f - 1) for f in range(1, 17)}
+
+
 def test_set_counting_examples():
     assert set_counting_decomposition(S_INT, ()) == (0, 0)
     a, b = set_counting_decomposition(S_INT, (1, 14, 16))

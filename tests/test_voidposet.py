@@ -198,6 +198,24 @@ def test_is_associated_matches_atom_monoid_up_to_16(frobenius_catalog):
                 assert p._is_associated_mask(mask) == oracle, (s.gaps, sorted(members))
 
 
+def test_associated_masks_and_mask_duals_up_to_16(frobenius_catalog):
+    """associated_masks() is the characterization filter over the up-closed
+    DFS, and the bit-reversal reflection and dual match their set
+    definitions on every up-closed mask, for every semigroup with F <= 16."""
+    for ss in frobenius_catalog.items.values():
+        for s in ss:
+            p = VoidPoset(s)
+            f = s.frobenius
+            ideals = list(p._ideal_masks())
+            assert sorted(p.associated_masks()) == sorted(
+                mask for mask in ideals if p._is_associated_mask(mask)), s.gaps
+            for mask in ideals:
+                members = p._set_of(mask)
+                assert p._set_of(p._reflect_mask(mask)) == {f - x for x in members}
+                assert p._set_of(p._dual_mask(mask)) == {
+                    x for x in p.elements if f - x not in members}
+
+
 def test_is_associated_for_divisor_witness():
     for k, l in ((4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3)):
         inst = interval_k(k, l)
