@@ -212,12 +212,14 @@ class NumericalSemigroup(NumericalSet):
 
     @cached_property
     def special_gaps(self) -> tuple[int, ...]:
-        """Gaps h for which S together with h is still a semigroup."""
-        out = []
-        for h in self.gaps:
-            if NumericalSet(set(self.gaps) - {h}).is_semigroup():
-                out.append(h)
-        return tuple(out)
+        """Gaps h for which S together with h is still a semigroup.
+
+        These are the pseudo-Frobenius numbers h with 2h in S: h + s must lie
+        in S for every nonzero s in S, and so must h + h.
+        """
+        if self.frobenius < 0:
+            return ()
+        return tuple(h for h in self.pseudo_frobenius if 2 * h in self)
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:

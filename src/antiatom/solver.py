@@ -5,7 +5,9 @@ S, record the size of the partition each one enumerates, and decide whether
 S is lambda-minimal, i.e. whether its own partition is the smallest of them.
 Sizes are computed from bit counts of each set's mask, without building the
 numerical sets or their partitions; the reports come in dual pairs of equal
-size because T and its dual enumerate conjugate partitions.
+size because T and its dual enumerate conjugate partitions.  Minimality
+alone is decided without listing P(S), by a bounded search that stops at the
+first smaller partition.
 """
 
 from __future__ import annotations
@@ -134,7 +136,13 @@ def _mask_size(s: NumericalSemigroup, elements: tuple[int, ...]):
 
 
 def is_lambda_minimal(s: NumericalSemigroup) -> bool:
-    return solve(s).lambda_minimal
+    """True iff no associated set of S enumerates a smaller partition than S.
+
+    Decided by the bounded search of ``VoidPoset.smaller_partition_witness``,
+    which stops at the first witness; ``solve`` lists all of P(S) instead.
+    """
+    witness, _ = VoidPoset(s).smaller_partition_witness()
+    return witness is None
 
 
 def set_counting_decomposition(s: NumericalSemigroup, ideal) -> tuple[int, int]:

@@ -167,6 +167,53 @@ class VoidPoset:
             if meets(mask):
                 yield mask
 
+    def smaller_partition_witness(self) -> tuple[int | None, int]:
+        """An associated I whose partition is smaller than S's, or None.
+
+        Returns ``(mask, states)``: the mask of the first such I the search
+        meets (None when S is lambda-minimal) and the number of search nodes
+        it visited.
+
+        With g the genus of S, |lambda(S u I)| = (sum of the gaps) - sum(I)
+        - C(g - |I|, 2), so S u I beats S exactly when
+        v(I) = sum(I) - sum_{t=1..|I|} (g - t) > 0.  The search is the
+        top-down up-closed DFS of ``_ideal_masks`` carrying v; adding the
+        element x_j to a set of k elements adds x_j - (g - k - 1).  Elements
+        join in decreasing order, so the gain still open below index j at
+        size k is at most best[j][k], the best gain of the top r void
+        elements below j for r <= min(j, cap - k), and a branch whose v plus
+        that bound is not positive is cut.  |I| is capped at n // 2 for the
+        n void elements: I -> I* is an involution on the associated sets
+        that keeps the partition size and sends |I| to n - |I|, so any
+        witness or its dual has at most n // 2 elements.
+        """
+        xs, succ = self.elements, self._succ
+        n, g = len(xs), self.semigroup.genus
+        cap = n // 2
+        # best[j][k] = max(0, x_{j-1} - (g - k - 1) + best[j-1][k+1])
+        best = [[0] * (cap + 1)]
+        for j in range(1, n):
+            below = best[-1]
+            best.append([max(0, xs[j - 1] - (g - k - 1) + below[k + 1])
+                         for k in range(cap)] + [0])
+        meets = self._meets_special_gaps
+        stack = [(n - 1, 0, 0, 0)]
+        states = 0
+        while stack:
+            i, mask, k, v = stack.pop()
+            states += 1
+            if v > 0 and meets(mask):
+                return mask, states
+            if k == cap:
+                continue
+            drop = g - k - 1
+            for j in range(i, -1, -1):
+                if succ[j] & ~mask == 0:
+                    w = v + xs[j] - drop
+                    if w + best[j][k + 1] > 0:
+                        stack.append((j - 1, mask | (1 << j), k + 1, w))
+        return None, states
+
     def order_ideals(self) -> Iterator[OrderIdeal]:
         """Every up-closed subset exactly once, empty set first, full void last."""
         for mask in self._ideal_masks():

@@ -153,12 +153,14 @@ def test_special_gaps_examples():
     assert NumericalSemigroup().special_gaps == ()
 
 
-def test_special_gaps_are_pf_with_double_inside():
-    for f in range(1, 11):
-        for gaps in helpers.semigroup_gap_sets_frobenius(f):
-            s = NumericalSemigroup(gaps)
-            expected = tuple(p for p in s.pseudo_frobenius if (2 * p) in s)
-            assert s.special_gaps == expected
+def test_special_gaps_match_closure_definition(frobenius_catalog, genus_catalog):
+    """h is a special gap iff S together with h is closed under addition."""
+    for catalog in (frobenius_catalog, genus_catalog):
+        for semigroups in catalog.items.values():
+            for s in semigroups:
+                expected = tuple(h for h in s.gaps
+                                 if helpers.is_closed(set(s.gaps) - {h}))
+                assert s.special_gaps == expected, s.gaps
 
 
 def test_dual_examples():

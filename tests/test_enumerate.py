@@ -15,7 +15,9 @@ def test_genus_zero_is_n():
 
 
 def test_small_genus_levels():
-    assert genus_counts(12) == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
+    # OEIS A007323
+    assert genus_counts(14) == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592,
+                                1001, 1693]
 
 
 def test_genus_matches_subset_brute_force():

@@ -1,9 +1,11 @@
 import pytest
 
 import helpers
-from antiatom import (NumericalSemigroup, VoidPoset, durfee_gap_condition,
-                      enumeration, is_lambda_minimal,
-                      set_counting_decomposition, solve, type3_profile)
+from antiatom import (EnumerationQuery, NumericalSemigroup, VoidPoset,
+                      durfee_gap_condition, enumeration, is_lambda_minimal,
+                      scan_minimality, set_counting_decomposition,
+                      size_via_gap_count, solve, type3_profile)
+from antiatom.enumerate import _genus_levels
 
 S_INT = NumericalSemigroup.from_generators({9, 10, 11, 12, 13})
 
@@ -122,6 +124,46 @@ def test_is_lambda_minimal():
     assert not is_lambda_minimal(S_INT)
     assert is_lambda_minimal(NumericalSemigroup({1}))
     assert is_lambda_minimal(NumericalSemigroup({1, 2, 3}))
+
+
+def _search_verdict(s):
+    """is_lambda_minimal's answer, with any witness checked from the definition."""
+    poset = VoidPoset(s)
+    mask, _ = poset.smaller_partition_witness()
+    if mask is not None:
+        t = s.union(e for i, e in enumerate(poset.elements) if mask >> i & 1)
+        assert t.atom_monoid() == s, s.gaps
+        assert size_via_gap_count(t) < size_via_gap_count(s), s.gaps
+    return mask is None
+
+
+def test_bounded_search_matches_solve(frobenius_solutions, genus_solutions):
+    for catalog in (frobenius_solutions, genus_solutions):
+        for s, solution in catalog.items:
+            assert _search_verdict(s) == solution.lambda_minimal, s.gaps
+
+
+def test_bounded_search_matches_solve_at_genus_13_and_14():
+    levels = list(_genus_levels(14))
+    for g, count in ((13, 2), (14, 6)):
+        verdicts = [(_search_verdict(s), solve(s).lambda_minimal) for s in levels[g]]
+        assert all(got == want for got, want in verdicts), g
+        assert sum(not got for got, _ in verdicts) == count, g
+
+
+def test_non_minimal_counts_for_frobenius_17_to_20():
+    buckets = scan_minimality(EnumerationQuery("frobenius", 20)).buckets
+    assert [len(b.non_minimal) for b in buckets[16:]] == [1, 0, 2, 1]
+    assert buckets[18].non_minimal == (tuple(range(1, 10)) + (15, 16, 18, 19),
+                                       tuple(range(1, 10)) + (16, 17, 18, 19))
+
+
+def test_bounded_search_prunes_antichain_void():
+    # {0, 18, ->}: the void 1..16 is an antichain with 2^15 associated sets,
+    # and no set of k elements gains more than sum(I) - sum(16, ..., 17 - k) <= 0,
+    # so every child of the root is cut.
+    poset = VoidPoset(NumericalSemigroup(range(1, 18)))
+    assert poset.smaller_partition_witness() == (None, 1)
 
 
 def test_type3_profile_requires_type3():
